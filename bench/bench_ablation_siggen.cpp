@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace leakdet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  bench::TraceArgs args = bench::ParseArgs(argc, argv);
   sim::Trace trace = bench::GenerateBenchTrace(args);
 
   size_t n = static_cast<size_t>(300 * args.scale + 0.5);

@@ -26,8 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,6 +39,7 @@
 #include "testing/packet_gen.h"
 #include "testing/scripted_conn.h"
 #include "testing/scripted_file.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -57,28 +56,17 @@ struct Args {
 };
 
 Args ParseArgs(int argc, char** argv) {
+  Flags flags(argc, argv);
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--epochs=", 9) == 0) {
-      args.epochs = static_cast<size_t>(std::atoll(a + 9));
-    } else if (std::strncmp(a, "--retrain=", 10) == 0) {
-      args.retrain = static_cast<size_t>(std::atoll(a + 10));
-    } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      args.reps = static_cast<size_t>(std::atoll(a + 7));
-      if (args.reps == 0) args.reps = 1;
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      args.out = a + 6;
-    } else if (std::strcmp(a, "--selfcheck") == 0) {
-      args.selfcheck = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      std::exit(2);
-    }
-  }
-  if (args.epochs == 0) args.epochs = 1;
+  args.epochs = flags.Uint("epochs", args.epochs);
+  args.retrain = flags.Uint("retrain", args.retrain);
+  args.reps = flags.Uint("reps", args.reps);
+  args.seed = flags.Uint("seed", args.seed);
+  args.out = flags.String("out", args.out);
+  args.selfcheck = flags.Bool("selfcheck");
+  if (args.epochs == 0) flags.Error("--epochs must be positive");
+  if (args.reps == 0) flags.Error("--reps must be positive");
+  flags.Finish();
   return args;
 }
 

@@ -37,7 +37,7 @@ eval::DetectionRates Score(const DetectorT& detector, const sim::Trace& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  bench::TraceArgs args = bench::ParseArgs(argc, argv);
   sim::Trace trace = bench::GenerateBenchTrace(args);
 
   std::vector<core::HttpPacket> suspicious, normal;

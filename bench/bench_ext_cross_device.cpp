@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace leakdet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  bench::TraceArgs args = bench::ParseArgs(argc, argv);
 
   sim::TrafficConfig config_a;
   config_a.seed = args.seed;

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace leakdet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  bench::TraceArgs args = bench::ParseArgs(argc, argv);
 
   sim::TrafficConfig config;
   config.seed = args.seed;

@@ -27,8 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +36,7 @@
 #include "federation/shard_trainer.h"
 #include "federation/witness.h"
 #include "sim/fleet.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -56,34 +55,24 @@ struct Args {
 };
 
 Args ParseArgs(int argc, char** argv) {
+  Flags flags(argc, argv);
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--devices=", 10) == 0) {
-      args.devices = static_cast<size_t>(std::atoll(a + 10));
-    } else if (std::strncmp(a, "--shards=", 9) == 0) {
-      args.shards = static_cast<size_t>(std::atoll(a + 9));
-    } else if (std::strncmp(a, "--events=", 9) == 0) {
-      args.events = static_cast<size_t>(std::atoll(a + 9));
-    } else if (std::strncmp(a, "--scale=", 8) == 0) {
-      args.scale = std::atof(a + 8);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--k=", 4) == 0) {
-      args.k = static_cast<size_t>(std::atoll(a + 4));
-    } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      args.reps = static_cast<size_t>(std::atoll(a + 7));
-      if (args.reps == 0) args.reps = 1;
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      args.out = a + 6;
-    } else if (std::strcmp(a, "--selfcheck") == 0) {
-      args.selfcheck = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      std::exit(2);
-    }
+  args.devices = flags.Uint("devices", args.devices);
+  args.shards = flags.Uint("shards", args.shards);
+  args.events = flags.Uint("events", args.events);
+  args.scale = flags.Double("scale", args.scale);
+  args.seed = flags.Uint("seed", args.seed);
+  args.k = flags.Uint("k", args.k);
+  args.reps = flags.Uint("reps", args.reps);
+  args.out = flags.String("out", args.out);
+  args.selfcheck = flags.Bool("selfcheck");
+  if (args.devices == 0) flags.Error("--devices must be positive");
+  if (args.shards == 0) flags.Error("--shards must be positive");
+  if (args.reps == 0) flags.Error("--reps must be positive");
+  if (args.selfcheck && args.events == 0) {
+    flags.Error("--selfcheck needs --events above 0");
   }
-  if (args.shards == 0) args.shards = 1;
+  flags.Finish();
   return args;
 }
 

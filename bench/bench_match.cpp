@@ -34,8 +34,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,6 +44,7 @@
 #include "match/compiled_set.h"
 #include "match/signature.h"
 #include "prefilter/prefilter.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -69,36 +68,23 @@ struct Args {
 };
 
 Args ParseArgs(int argc, char** argv) {
+  Flags flags(argc, argv);
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--packets=", 10) == 0) {
-      args.packets = static_cast<size_t>(std::atoll(a + 10));
-    } else if (std::strncmp(a, "--num-sigs=", 11) == 0) {
-      args.num_sigs = static_cast<size_t>(std::atoll(a + 11));
-    } else if (std::strncmp(a, "--tokens-per-sig=", 17) == 0) {
-      args.tokens_per_sig = static_cast<size_t>(std::atoll(a + 17));
-    } else if (std::strncmp(a, "--leak-every=", 13) == 0) {
-      args.leak_every = static_cast<size_t>(std::atoll(a + 13));
-    } else if (std::strncmp(a, "--pad=", 6) == 0) {
-      args.pad = static_cast<size_t>(std::atoll(a + 6));
-    } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      args.reps = static_cast<size_t>(std::atoll(a + 7));
-      if (args.reps == 0) args.reps = 1;
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      args.out = a + 6;
-    } else if (std::strcmp(a, "--selfcheck") == 0) {
-      args.selfcheck = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      std::exit(2);
-    }
+  args.packets = flags.Uint("packets", args.packets);
+  args.num_sigs = flags.Uint("num-sigs", args.num_sigs);
+  args.tokens_per_sig = flags.Uint("tokens-per-sig", args.tokens_per_sig);
+  args.leak_every = flags.Uint("leak-every", args.leak_every);
+  args.pad = flags.Uint("pad", args.pad);
+  args.reps = flags.Uint("reps", args.reps);
+  args.seed = flags.Uint("seed", args.seed);
+  args.out = flags.String("out", args.out);
+  args.selfcheck = flags.Bool("selfcheck");
+  if (args.packets == 0 || args.num_sigs == 0 || args.leak_every == 0 ||
+      args.reps == 0) {
+    flags.Error("--packets, --num-sigs, --leak-every and --reps must be "
+                "positive");
   }
-  if (args.packets == 0) args.packets = 1;
-  if (args.num_sigs == 0) args.num_sigs = 1;
-  if (args.leak_every == 0) args.leak_every = 1;
+  flags.Finish();
   return args;
 }
 

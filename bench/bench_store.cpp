@@ -32,8 +32,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +42,7 @@
 #include "store/file.h"
 #include "store/store_manager.h"
 #include "store/wal.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -64,35 +63,24 @@ struct Args {
 };
 
 Args ParseArgs(int argc, char** argv) {
+  Flags flags(argc, argv);
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--records=", 10) == 0) {
-      args.records = static_cast<size_t>(std::atoll(a + 10));
-    } else if (std::strncmp(a, "--ingest-records=", 17) == 0) {
-      args.ingest_records = static_cast<size_t>(std::atoll(a + 17));
-    } else if (std::strncmp(a, "--body-bytes=", 13) == 0) {
-      args.body_bytes = static_cast<size_t>(std::atoll(a + 13));
-    } else if (std::strncmp(a, "--sync-every-n=", 15) == 0) {
-      args.sync_every_n = static_cast<size_t>(std::atoll(a + 15));
-    } else if (std::strncmp(a, "--segment-mb=", 13) == 0) {
-      args.segment_mb = static_cast<size_t>(std::atoll(a + 13));
-    } else if (std::strncmp(a, "--reps=", 7) == 0) {
-      args.reps = static_cast<size_t>(std::atoll(a + 7));
-      if (args.reps == 0) args.reps = 1;
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--dir=", 6) == 0) {
-      args.dir = a + 6;
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      args.out = a + 6;
-    } else if (std::strcmp(a, "--selfcheck") == 0) {
-      args.selfcheck = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      std::exit(2);
-    }
+  args.records = flags.Uint("records", args.records);
+  args.ingest_records = flags.Uint("ingest-records", args.ingest_records);
+  args.body_bytes = flags.Uint("body-bytes", args.body_bytes);
+  args.sync_every_n = flags.Uint("sync-every-n", args.sync_every_n);
+  args.segment_mb = flags.Uint("segment-mb", args.segment_mb);
+  args.reps = flags.Uint("reps", args.reps);
+  args.seed = flags.Uint("seed", args.seed);
+  args.dir = flags.String("dir", args.dir);
+  args.out = flags.String("out", args.out);
+  args.selfcheck = flags.Bool("selfcheck");
+  if (args.reps == 0) flags.Error("--reps must be positive");
+  // A selfcheck over an empty tape or ingest stream would check nothing.
+  if (args.selfcheck && (args.records == 0 || args.ingest_records == 0)) {
+    flags.Error("--selfcheck needs --records and --ingest-records above 0");
   }
+  flags.Finish();
   return args;
 }
 

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace leakdet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  bench::TraceArgs args = bench::ParseArgs(argc, argv);
   sim::Trace trace = bench::GenerateBenchTrace(args);
 
   std::map<std::string, eval::DomainStats> measured;

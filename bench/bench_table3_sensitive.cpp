@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace leakdet;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  bench::TraceArgs args = bench::ParseArgs(argc, argv);
   sim::Trace trace = bench::GenerateBenchTrace(args);
 
   size_t suspicious = 0, normal = 0;

@@ -47,6 +47,7 @@
 #include "sim/trafficgen.h"
 #include "store/file.h"
 #include "train/trainer.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
@@ -54,7 +55,7 @@ namespace {
 using namespace leakdet;
 
 struct Args {
-  std::vector<size_t> sizes = {100, 250, 500, 1000};
+  std::vector<size_t> sizes;
   double scale = 0.3;
   uint64_t seed = 42;
   unsigned threads = 0;
@@ -70,50 +71,28 @@ struct Args {
 };
 
 Args ParseArgs(int argc, char** argv) {
+  Flags flags(argc, argv);
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--sizes=", 8) == 0) {
-      args.sizes.clear();
-      for (const char* p = a + 8; *p != '\0';) {
-        args.sizes.push_back(static_cast<size_t>(std::strtoull(p, nullptr, 10)));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-    } else if (std::strncmp(a, "--scale=", 8) == 0) {
-      args.scale = std::atof(a + 8);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      args.threads = static_cast<unsigned>(std::atoi(a + 10));
-    } else if (std::strncmp(a, "--compressor=", 13) == 0) {
-      args.compressor = a + 13;
-    } else if (std::strncmp(a, "--naive-max=", 12) == 0) {
-      args.naive_max = static_cast<size_t>(std::atoll(a + 12));
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      args.out = a + 6;
-    } else if (std::strncmp(a, "--corpus=", 9) == 0) {
-      for (const char* p = a + 9; *p != '\0';) {
-        args.corpus_sizes.push_back(
-            static_cast<size_t>(std::strtoull(p, nullptr, 10)));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-    } else if (std::strncmp(a, "--corpus-sample=", 16) == 0) {
-      args.corpus_sample = static_cast<size_t>(std::atoll(a + 16));
-    } else if (std::strncmp(a, "--corpus-distinct=", 18) == 0) {
-      args.corpus_distinct = static_cast<size_t>(std::atoll(a + 18));
-    } else if (std::strncmp(a, "--corpus-dir=", 13) == 0) {
-      args.corpus_dir = a + 13;
-    } else if (std::strncmp(a, "--rss-ceiling-mb=", 17) == 0) {
-      args.rss_ceiling_mb = static_cast<size_t>(std::atoll(a + 17));
-    } else if (std::strcmp(a, "--selfcheck") == 0) {
-      args.selfcheck = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a);
-      std::exit(2);
+  args.sizes = flags.UintList("sizes", "100,250,500,1000");
+  args.scale = flags.Double("scale", args.scale);
+  args.seed = flags.Uint("seed", args.seed);
+  args.threads = static_cast<unsigned>(
+      flags.Uint("threads", args.threads, UINT32_MAX));
+  args.compressor = flags.String("compressor", args.compressor);
+  args.naive_max = flags.Uint("naive-max", args.naive_max);
+  args.out = flags.String("out", args.out);
+  args.corpus_sizes = flags.UintList("corpus", "");
+  args.corpus_sample = flags.Uint("corpus-sample", args.corpus_sample);
+  args.corpus_distinct = flags.Uint("corpus-distinct", args.corpus_distinct);
+  args.corpus_dir = flags.String("corpus-dir", args.corpus_dir);
+  args.rss_ceiling_mb = flags.Uint("rss-ceiling-mb", args.rss_ceiling_mb);
+  args.selfcheck = flags.Bool("selfcheck");
+  for (const std::vector<size_t>* list : {&args.sizes, &args.corpus_sizes}) {
+    for (size_t n : *list) {
+      if (n == 0) flags.Error("--sizes and --corpus entries must be positive");
     }
   }
+  flags.Finish();
   return args;
 }
 

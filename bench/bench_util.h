@@ -10,34 +10,31 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "sim/trafficgen.h"
+#include "util/flags.h"
 
 namespace leakdet::bench {
 
-struct BenchArgs {
+struct TraceArgs {
   double scale = 1.0;
   uint64_t seed = 42;
 };
 
-inline BenchArgs ParseArgs(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      args.scale = std::atof(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = static_cast<uint64_t>(std::atoll(argv[i] + 7));
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: %s [--scale=1.0] [--seed=42]\n", argv[0]);
-      std::exit(0);
-    }
+inline TraceArgs ParseArgs(int argc, char** argv) {
+  Flags flags(argc, argv);
+  TraceArgs args;
+  args.scale = flags.Double("scale", args.scale);
+  args.seed = flags.Uint("seed", args.seed);
+  if (flags.Bool("help")) {
+    std::printf("%s\n", flags.Usage().c_str());
+    std::exit(0);
   }
+  flags.Finish();
   return args;
 }
 
-inline sim::Trace GenerateBenchTrace(const BenchArgs& args) {
+inline sim::Trace GenerateBenchTrace(const TraceArgs& args) {
   sim::TrafficConfig config;
   config.seed = args.seed;
   config.scale = args.scale;

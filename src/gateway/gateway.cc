@@ -24,7 +24,7 @@ DetectionGateway::DetectionGateway(GatewayOptions options)
       clock_(options.clock != nullptr ? options.clock : Clock::Real()),
       owned_metrics_(options.registry != nullptr
                          ? nullptr
-                         : std::make_unique<MetricsRegistry>()),
+                         : std::make_unique<obs::Registry>()),
       metrics_(options.registry != nullptr ? options.registry
                                            : owned_metrics_.get()) {
   if (options_.num_shards == 0) options_.num_shards = 1;

@@ -14,7 +14,7 @@
 
 #include "core/packet.h"
 #include "gateway/bounded_queue.h"
-#include "gateway/metrics.h"
+#include "obs/metrics.h"
 #include "match/compiled_set.h"
 #include "prefilter/prefilter.h"
 #include "util/clock.h"
@@ -56,7 +56,7 @@ struct GatewayOptions {
   /// shared obs::Registry so gateway metrics land on the process scrape
   /// surface. The gateway registers a queue-depth collect hook on it, so an
   /// injected registry must not be scraped after the gateway is destroyed.
-  MetricsRegistry* registry = nullptr;
+  obs::Registry* registry = nullptr;
 };
 
 /// The matching outcome the gateway reports for one packet.
@@ -174,7 +174,7 @@ class DetectionGateway {
   /// gateway.epoch_version, per-shard queue_depth refreshed at scrape time).
   /// The injected registry if GatewayOptions.registry was set, else the
   /// gateway-owned one (valid for the gateway's lifetime).
-  MetricsRegistry* metrics() { return metrics_; }
+  obs::Registry* metrics() { return metrics_; }
 
   /// Nanoseconds of this clock's time since the last successful Publish
   /// (staleness of the serving epoch). 0 before the first publish.
@@ -218,11 +218,11 @@ class DetectionGateway {
   struct Shard {
     explicit Shard(size_t capacity) : queue(capacity) {}
     BoundedQueue<Item> queue;
-    Counter* enqueued = nullptr;
-    Counter* dropped = nullptr;
-    Counter* processed = nullptr;
-    Counter* matched = nullptr;
-    Gauge* queue_depth = nullptr;  ///< refreshed by the collect hook
+    obs::Counter* enqueued = nullptr;
+    obs::Counter* dropped = nullptr;
+    obs::Counter* processed = nullptr;
+    obs::Counter* matched = nullptr;
+    obs::Gauge* queue_depth = nullptr;  ///< refreshed by the collect hook
   };
 
   void WorkerLoop(size_t shard_index);
@@ -231,8 +231,8 @@ class DetectionGateway {
   Clock* clock_ = nullptr;
   // Private registry unless one was injected; `metrics_` always points at
   // the live one (declaration order matters: owned before the pointer).
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
+  std::unique_ptr<obs::Registry> owned_metrics_;
+  obs::Registry* metrics_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   // The published epoch. `compiled_` is guarded by `epoch_mu_`;
@@ -255,20 +255,21 @@ class DetectionGateway {
   /// Resolved once at construction (env + CPUID); workers read it lock-free.
   prefilter::Mode prefilter_mode_ = prefilter::Mode::kScalar;
 
-  Counter* submitted_ = nullptr;
-  Counter* dropped_ = nullptr;
-  Counter* processed_ = nullptr;
-  Counter* matched_ = nullptr;
-  Counter* swaps_ = nullptr;
-  Counter* swap_rejected_ = nullptr;
-  Counter* prefilter_skipped_ = nullptr;
-  Counter* prefilter_candidates_ = nullptr;
-  Counter* prefilter_false_candidates_ = nullptr;
-  Histogram* queue_wait_ns_ = nullptr;
-  Histogram* match_ns_ = nullptr;
-  Histogram* ingest_ns_ = nullptr;   ///< Submit() wall time (incl. backpressure)
-  Histogram* verdict_ns_ = nullptr;  ///< enqueue → sink-done per packet
-  Gauge* epoch_version_gauge_ = nullptr;
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* dropped_ = nullptr;
+  obs::Counter* processed_ = nullptr;
+  obs::Counter* matched_ = nullptr;
+  obs::Counter* swaps_ = nullptr;
+  obs::Counter* swap_rejected_ = nullptr;
+  obs::Counter* prefilter_skipped_ = nullptr;
+  obs::Counter* prefilter_candidates_ = nullptr;
+  obs::Counter* prefilter_false_candidates_ = nullptr;
+  obs::Histogram* queue_wait_ns_ = nullptr;
+  obs::Histogram* match_ns_ = nullptr;
+  /// Submit() wall time (incl. backpressure).
+  obs::Histogram* ingest_ns_ = nullptr;
+  obs::Histogram* verdict_ns_ = nullptr;  ///< enqueue → sink-done per packet
+  obs::Gauge* epoch_version_gauge_ = nullptr;
   /// ingest_ns/verdict_ns are sampled 1-in-kLatencySampleEvery: the extra
   /// clock read per observation is measurable at full ingest rate (clock
   /// reads are a syscall on some hosts), and a sampled latency histogram

@@ -26,7 +26,7 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
       clock_(options.clock != nullptr ? options.clock : Clock::Real()),
       mailbox_(options.queue_capacity == 0 ? 1 : options.queue_capacity) {
   if (options_.forward_normal_every == 0) options_.forward_normal_every = 1;
-  MetricsRegistry* metrics = gateway_->metrics();
+  obs::Registry* metrics = gateway_->metrics();
   // Tenant trainers share one registry: label their series so per-tenant
   // retrain rates and WAL health stay distinguishable on the scrape surface.
   obs::Labels labels;

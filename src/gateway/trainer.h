@@ -12,7 +12,7 @@
 #include "core/signature_server.h"
 #include "gateway/bounded_queue.h"
 #include "gateway/gateway.h"
-#include "gateway/metrics.h"
+#include "obs/metrics.h"
 #include "match/compiled_set.h"
 #include "store/store_manager.h"
 #include "util/statusor.h"
@@ -139,34 +139,34 @@ class TrainerLoop {
   std::map<uint64_t, std::shared_ptr<const match::CompiledSignatureSet>>
       archive_;
 
-  Counter* ingested_ = nullptr;
-  Counter* drops_ = nullptr;
-  Counter* retrains_ = nullptr;
-  Counter* wal_appends_ = nullptr;
-  Counter* wal_errors_ = nullptr;
-  Counter* snapshots_ = nullptr;
-  Counter* snapshot_errors_ = nullptr;
-  Counter* ncd_pair_hits_ = nullptr;
-  Counter* ncd_pairs_computed_ = nullptr;
-  Counter* singleton_compressions_ = nullptr;
-  Histogram* retrain_ns_ = nullptr;
-  Histogram* compile_ns_ = nullptr;
+  obs::Counter* ingested_ = nullptr;
+  obs::Counter* drops_ = nullptr;
+  obs::Counter* retrains_ = nullptr;
+  obs::Counter* wal_appends_ = nullptr;
+  obs::Counter* wal_errors_ = nullptr;
+  obs::Counter* snapshots_ = nullptr;
+  obs::Counter* snapshot_errors_ = nullptr;
+  obs::Counter* ncd_pair_hits_ = nullptr;
+  obs::Counter* ncd_pairs_computed_ = nullptr;
+  obs::Counter* singleton_compressions_ = nullptr;
+  obs::Histogram* retrain_ns_ = nullptr;
+  obs::Histogram* compile_ns_ = nullptr;
   // Per-stage retrain breakdown, taken from the DistanceMatrixStats the
   // pipeline stamps (matrix build / clustering / signature generation).
-  Histogram* stage_distance_ns_ = nullptr;
-  Histogram* stage_cluster_ns_ = nullptr;
-  Histogram* stage_siggen_ns_ = nullptr;
+  obs::Histogram* stage_distance_ns_ = nullptr;
+  obs::Histogram* stage_cluster_ns_ = nullptr;
+  obs::Histogram* stage_siggen_ns_ = nullptr;
   // Incremental-backend families, registered only when options_.incremental
   // is set (see OBSERVABILITY.md).
-  Counter* dedup_ingested_ = nullptr;
-  Counter* dedup_duplicates_ = nullptr;
-  Gauge* dedup_distinct_ = nullptr;
-  Counter* tile_spill_tiles_computed_ = nullptr;
-  Counter* tile_spill_tiles_reused_ = nullptr;
-  Counter* tile_spill_bytes_written_ = nullptr;
-  Counter* tile_spill_bytes_read_ = nullptr;
-  Counter* cluster_merges_replayed_ = nullptr;
-  Counter* cluster_merges_dirty_ = nullptr;
+  obs::Counter* dedup_ingested_ = nullptr;
+  obs::Counter* dedup_duplicates_ = nullptr;
+  obs::Gauge* dedup_distinct_ = nullptr;
+  obs::Counter* tile_spill_tiles_computed_ = nullptr;
+  obs::Counter* tile_spill_tiles_reused_ = nullptr;
+  obs::Counter* tile_spill_bytes_written_ = nullptr;
+  obs::Counter* tile_spill_bytes_read_ = nullptr;
+  obs::Counter* cluster_merges_replayed_ = nullptr;
+  obs::Counter* cluster_merges_dirty_ = nullptr;
 };
 
 }  // namespace leakdet::gateway

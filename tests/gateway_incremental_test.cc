@@ -93,7 +93,7 @@ TEST(GatewayIncrementalTest, RetrainsRouteThroughIncrementalBackend) {
   EXPECT_EQ(server.signatures().Serialize(), scratch->signatures.Serialize());
 
   // Epoch metrics made it onto the scrape surface.
-  MetricsRegistry* metrics = gateway.metrics();
+  obs::Registry* metrics = gateway.metrics();
   EXPECT_EQ(metrics->GetCounter("trainer.retrains", {})->Value(), 3u);
   EXPECT_GE(metrics->GetCounter("trainer.dedup_ingested", {})->Value(), 12u);
   EXPECT_GT(metrics->GetGauge("trainer.dedup_distinct", {})->Value(), 0);

@@ -21,95 +21,36 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "obs/admin_server.h"
 #include "testing/chaos.h"
 #include "testing/fault_script.h"
-
-namespace {
-
-struct Flags {
-  std::string schedule = "short-io";
-  uint64_t seed = 0;  // 0 = keep the schedule's own seed
-  size_t runs = 2;
-  size_t shards = 4;
-  size_t epochs = 3;
-  size_t packets = 120;
-  size_t fetches = 2;
-  size_t queue_capacity = 256;
-  bool list_schedules = false;
-  bool print_schedule = false;
-  bool verbose = false;
-  long admin_port = -1;  // -1 = no admin server, 0 = ephemeral port
-};
-
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: leakdet_chaos [--schedule=NAME|FILE] [--seed=N] [--runs=N]\n"
-      "  [--shards=N] [--epochs=N] [--packets=N] [--fetches=N]\n"
-      "  [--queue-capacity=N] [--admin-port=N] [--list-schedules]\n"
-      "  [--print-schedule] [-v]\n");
-}
-
-bool ParseFlags(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (arg == "--list-schedules") {
-      flags->list_schedules = true;
-    } else if (arg == "--print-schedule") {
-      flags->print_schedule = true;
-    } else if (arg == "-v" || arg == "--verbose") {
-      flags->verbose = true;
-    } else if (ParseFlag(arg, "schedule", &value)) {
-      flags->schedule = value;
-    } else if (ParseFlag(arg, "seed", &value)) {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "runs", &value)) {
-      flags->runs = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "shards", &value)) {
-      flags->shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "epochs", &value)) {
-      flags->epochs = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "packets", &value)) {
-      flags->packets = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "fetches", &value)) {
-      flags->fetches = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "queue-capacity", &value)) {
-      flags->queue_capacity = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "admin-port", &value)) {
-      flags->admin_port = std::strtol(value.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (flags->runs == 0) flags->runs = 1;
-  if (flags->epochs == 0) flags->epochs = 1;
-  return true;
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) {
-    Usage();
-    return 2;
-  }
-  if (flags.list_schedules) {
+  leakdet::Flags flags(argc, argv);
+  const std::string schedule = flags.String("schedule", "short-io");
+  // --seed=0 keeps the schedule's own seed; --admin-port=0 picks any port.
+  const uint64_t seed = flags.Uint("seed", 0);
+  const size_t runs = flags.Uint("runs", 2);
+  leakdet::testing::ChaosOptions options;
+  options.shards = flags.Uint("shards", 4);
+  options.epochs = flags.Uint("epochs", 3);
+  options.packets_per_epoch = flags.Uint("packets", 120);
+  options.feed_fetches_per_epoch = flags.Uint("fetches", 2);
+  options.queue_capacity = flags.Uint("queue-capacity", 256);
+  const bool with_admin = flags.Has("admin-port");
+  const uint64_t admin_port = flags.Uint("admin-port", 0, 65535);
+  const bool list_schedules = flags.Bool("list-schedules");
+  const bool print_schedule = flags.Bool("print-schedule");
+  const bool verbose = flags.Bool("verbose", 'v');
+  if (runs == 0) flags.Error("--runs must be positive");
+  if (options.epochs == 0) flags.Error("--epochs must be positive");
+  flags.Finish();
+
+  if (list_schedules) {
     for (const std::string& name :
          leakdet::testing::FaultScript::BuiltinNames()) {
       std::printf("%s\n", name.c_str());
@@ -117,34 +58,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto script = leakdet::testing::FaultScript::Load(flags.schedule);
+  auto script = leakdet::testing::FaultScript::Load(schedule);
   if (!script.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  std::string(script.status().message()).c_str());
     return 2;
   }
-  if (flags.seed != 0) script->set_seed(flags.seed);
-  if (flags.print_schedule) {
+  if (seed != 0) script->set_seed(seed);
+  if (print_schedule) {
     std::printf("%s", script->Serialize().c_str());
     return 0;
   }
 
-  leakdet::testing::ChaosOptions options;
   options.script = *script;
   options.seed = script->seed();
-  options.shards = flags.shards;
-  options.epochs = flags.epochs;
-  options.packets_per_epoch = flags.packets;
-  options.feed_fetches_per_epoch = flags.fetches;
-  options.queue_capacity = flags.queue_capacity;
-  if (flags.verbose) {
+  if (verbose) {
     options.log = [](const std::string& message) {
       std::fprintf(stderr, "[chaos] %s\n", message.c_str());
     };
   }
 
   std::printf("schedule=%s seed=%llu runs=%zu\n", script->name().c_str(),
-              static_cast<unsigned long long>(script->seed()), flags.runs);
+              static_cast<unsigned long long>(script->seed()), runs);
 
   // Optional admin plane for long chaos campaigns: each RunChaos owns a
   // private registry (its components' lifetimes end with the run), so the
@@ -155,17 +90,17 @@ int main(int argc, char** argv) {
   leakdet::obs::Gauge* runs_gauge = registry->GetGauge("chaos.runs_done");
   leakdet::obs::Gauge* failed_gauge = registry->GetGauge("chaos.runs_failed");
   leakdet::obs::AdminServer admin;
-  if (flags.admin_port >= 0) {
+  if (with_admin) {
     std::string schedule_name = script->name();
     admin.AddStatusSection(
-        "chaos", [schedule_name, &runs_done, &runs_failed, total = flags.runs] {
+        "chaos", [schedule_name, &runs_done, &runs_failed, total = runs] {
           return "schedule: " + schedule_name +
                  "\nruns_done: " + std::to_string(runs_done.load()) +
                  "\nruns_failed: " + std::to_string(runs_failed.load()) +
                  "\nruns_total: " + std::to_string(total) + "\n";
         });
     leakdet::Status started =
-        admin.Start(static_cast<uint16_t>(flags.admin_port));
+        admin.Start(static_cast<uint16_t>(admin_port));
     if (!started.ok()) {
       std::fprintf(stderr, "admin server: %s\n", started.ToString().c_str());
       return 2;
@@ -177,7 +112,7 @@ int main(int argc, char** argv) {
   bool reproducible = true;
   uint64_t first_digest = 0;
   leakdet::testing::ChaosResult first;
-  for (size_t run = 0; run < flags.runs; ++run) {
+  for (size_t run = 0; run < runs; ++run) {
     leakdet::testing::ChaosResult result =
         leakdet::testing::RunChaos(options);
     std::printf("--- run %zu ---\n%s\n", run + 1, result.Summary().c_str());
@@ -209,7 +144,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: chaos invariants violated (see summaries)\n");
     return 1;
   }
-  std::printf("PASS: %zu run(s), digest=%llx\n", flags.runs,
+  std::printf("PASS: %zu run(s), digest=%llx\n", runs,
               static_cast<unsigned long long>(first_digest));
   return 0;
 }

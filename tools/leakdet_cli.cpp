@@ -3,15 +3,18 @@
 //
 //   leakdet generate  --out trace.jsonl --device device.tokens
 //                     [--scale 0.1] [--seed 42] [--pcap trace.pcap]
+//                     [--with-obfuscated-module]
 //   leakdet split     --trace trace.jsonl --device device.tokens
 //                     --suspicious sus.jsonl --normal normal.jsonl
 //                     [--xor-key KEY]
 //   leakdet sign      --suspicious sus.jsonl --normal normal.jsonl
-//                     --out feed.sigs [--n 500] [--cut 2.0]
-//                     [--compressor lzw] [--bayes]
+//                     --out feed.sigs [--n 500] [--cut 2.0] [--seed 1]
+//                     [--compressor lzw] [--family conj|seq|bayes]
+//                     [--bayes] [--scope-by-host]
 //   leakdet detect    --signatures feed.sigs --trace trace.jsonl
-//                     [--max-print 10]
+//                     [--max-print 10] [--explain]
 //   leakdet eval      --signatures feed.sigs --trace trace.jsonl [--n 500]
+//   leakdet report    --out report.md [--scale 0.05] [--seed 42] [--n 200]
 //   leakdet pcap-export --trace trace.jsonl --out trace.pcap
 //   leakdet pcap-import --pcap trace.pcap --out trace.jsonl
 //   leakdet train     --trace trace.jsonl --device device.tokens
@@ -19,13 +22,16 @@
 //                     [--retrain-after 200] [--n 500] [--seed 1]
 //                     [--sync-policy every-record|every-n|on-rotate]
 //   leakdet serve     --signatures feed.sigs [--port P] [--admin-port P]
+//                     [--serve-requests 0]
 //   leakdet serve     --trace trace.jsonl --device device.tokens
 //                     [--data-dir store/] [--port P] [--admin-port P]
 //                     [--rate 500] [--loops 0] [--retrain-after 200]
+//                     [--n 500] [--seed 1] [--shards 2] [--sync-policy P]
 //                     [--prefilter auto|off|scalar|simd]
+//   leakdet fetch     --port P --out feed.sigs
 //   leakdet federate  [--devices 24] [--shards 4] [--events 9000]
 //                     [--seed 8086] [--scale 0.05] [--skew 0.3] [--k 2]
-//                     [--tenant fleet] [--out feed.sigs] [--eval]
+//                     [--n 500] [--tenant fleet] [--out feed.sigs] [--eval]
 //                     [--holdout 1200] [--shard-export PREFIX]
 //                     [--from-shards a.shard,b.shard,...]
 //                     [--data-dir root/]
@@ -53,14 +59,11 @@
 // epoch is snapshotted, so a killed run resumes exactly where the log ends —
 // rerun the same command and it recovers, replays, and continues.
 //
-// Exit status: 0 on success, 1 on any error (message on stderr).
+// Exit status: 0 on success, 1 on any error (message on stderr), 2 on a
+// malformed, unknown or stray argument (with the command's usage line).
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <chrono>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <thread>
 #include <string>
@@ -88,43 +91,12 @@
 #include "sim/fleet.h"
 #include "sim/trafficgen.h"
 #include "store/store_manager.h"
+#include "util/flags.h"
+#include "util/strutil.h"
 
 namespace {
 
 using namespace leakdet;
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string_view arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      std::string key(arg.substr(2));
-      if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // boolean flag
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-  std::string Get(const std::string& key, std::string def = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
-  }
-  long GetLong(const std::string& key, long def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::atol(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -141,15 +113,17 @@ StatusOr<std::vector<sim::LabeledPacket>> LoadTrace(const std::string& path) {
   return io::ParseJsonl(text);
 }
 
-int CmdGenerate(const Args& args) {
-  std::string out = args.Get("out");
-  std::string device_out = args.Get("device");
+int CmdGenerate(Flags& flags) {
+  const std::string out = flags.String("out");
+  const std::string device_out = flags.String("device");
+  const std::string pcap = flags.String("pcap");
+  sim::TrafficConfig config;
+  config.scale = flags.Double("scale", 0.1);
+  config.seed = flags.Uint("seed", 42);
+  config.include_obfuscated_module = flags.Bool("with-obfuscated-module");
+  flags.Finish();
   if (out.empty()) return Fail("generate needs --out <trace.jsonl>");
 
-  sim::TrafficConfig config;
-  config.scale = args.GetDouble("scale", 0.1);
-  config.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-  config.include_obfuscated_module = args.Has("with-obfuscated-module");
   sim::Trace trace = sim::GenerateTrace(config);
 
   if (Status s = io::WriteFile(out, io::SerializeJsonl(trace.packets));
@@ -160,30 +134,30 @@ int CmdGenerate(const Args& args) {
 
   if (!device_out.empty()) {
     if (Status s = io::WriteFile(
-            out.empty() ? device_out : device_out,
-            io::SerializeDeviceTokens({trace.device.ToTokens()}));
+            device_out, io::SerializeDeviceTokens({trace.device.ToTokens()}));
         !s.ok()) {
       return Fail(s);
     }
     std::printf("wrote device tokens to %s\n", device_out.c_str());
   }
-  if (args.Has("pcap")) {
+  if (!pcap.empty()) {
     io::PcapWriter writer;
-    if (Status s = io::WriteFile(args.Get("pcap"),
-                                 writer.Write(trace.RawPackets()));
+    if (Status s = io::WriteFile(pcap, writer.Write(trace.RawPackets()));
         !s.ok()) {
       return Fail(s);
     }
-    std::printf("wrote capture to %s\n", args.Get("pcap").c_str());
+    std::printf("wrote capture to %s\n", pcap.c_str());
   }
   return 0;
 }
 
-int CmdSplit(const Args& args) {
-  std::string trace_path = args.Get("trace");
-  std::string device_path = args.Get("device");
-  std::string sus_path = args.Get("suspicious");
-  std::string norm_path = args.Get("normal");
+int CmdSplit(Flags& flags) {
+  const std::string trace_path = flags.String("trace");
+  const std::string device_path = flags.String("device");
+  const std::string sus_path = flags.String("suspicious");
+  const std::string norm_path = flags.String("normal");
+  const std::string xor_key = flags.String("xor-key");
+  flags.Finish();
   if (trace_path.empty() || device_path.empty() || sus_path.empty() ||
       norm_path.empty()) {
     return Fail("split needs --trace --device --suspicious --normal");
@@ -196,7 +170,7 @@ int CmdSplit(const Args& args) {
   if (!devices.ok()) return Fail(devices.status());
 
   std::vector<std::string> keys;
-  if (args.Has("xor-key")) keys.push_back(args.Get("xor-key"));
+  if (!xor_key.empty()) keys.push_back(xor_key);
   core::PayloadCheck oracle(*devices, keys);
 
   std::vector<sim::LabeledPacket> suspicious, normal;
@@ -219,10 +193,19 @@ int CmdSplit(const Args& args) {
   return 0;
 }
 
-int CmdSign(const Args& args) {
-  std::string sus_path = args.Get("suspicious");
-  std::string norm_path = args.Get("normal");
-  std::string out = args.Get("out");
+int CmdSign(Flags& flags) {
+  const std::string sus_path = flags.String("suspicious");
+  const std::string norm_path = flags.String("normal");
+  const std::string out = flags.String("out");
+  core::PipelineOptions options;
+  options.sample_size = flags.Uint("n", 500);
+  options.cut_height = flags.Double("cut", options.cut_height);
+  options.compressor = flags.String("compressor", options.compressor);
+  options.seed = flags.Uint("seed", 1);
+  options.siggen.scope_by_host = flags.Bool("scope-by-host");
+  const bool bayes = flags.Bool("bayes");
+  const std::string family = flags.String("family", bayes ? "bayes" : "conj");
+  flags.Finish();
   if (sus_path.empty() || norm_path.empty() || out.empty()) {
     return Fail("sign needs --suspicious --normal --out");
   }
@@ -234,14 +217,6 @@ int CmdSign(const Args& args) {
   for (const auto& lp : *sus) suspicious.push_back(lp.packet);
   for (const auto& lp : *norm) normal.push_back(lp.packet);
 
-  core::PipelineOptions options;
-  options.sample_size = static_cast<size_t>(args.GetLong("n", 500));
-  options.cut_height = args.GetDouble("cut", options.cut_height);
-  options.compressor = args.Get("compressor", options.compressor);
-  options.seed = static_cast<uint64_t>(args.GetLong("seed", 1));
-  options.siggen.scope_by_host = args.Has("scope-by-host");
-
-  std::string family = args.Get("family", args.Has("bayes") ? "bayes" : "conj");
   std::string feed;
   size_t count = 0;
   if (family == "bayes") {
@@ -313,9 +288,12 @@ StatusOr<AnyDetector> LoadDetector(const std::string& path) {
   return detector;
 }
 
-int CmdDetect(const Args& args) {
-  std::string sig_path = args.Get("signatures");
-  std::string trace_path = args.Get("trace");
+int CmdDetect(Flags& flags) {
+  const std::string sig_path = flags.String("signatures");
+  const std::string trace_path = flags.String("trace");
+  const uint64_t max_print = flags.Uint("max-print", 10);
+  const bool explain = flags.Bool("explain");
+  flags.Finish();
   if (sig_path.empty() || trace_path.empty()) {
     return Fail("detect needs --signatures --trace");
   }
@@ -324,10 +302,8 @@ int CmdDetect(const Args& args) {
   auto packets = LoadTrace(trace_path);
   if (!packets.ok()) return Fail(packets.status());
 
-  long max_print = args.GetLong("max-print", 10);
-  bool explain = args.Has("explain");
   size_t flagged = 0;
-  long printed = 0;
+  uint64_t printed = 0;
   for (const sim::LabeledPacket& lp : *packets) {
     if (!detector->IsSensitive(lp.packet)) continue;
     ++flagged;
@@ -351,9 +327,12 @@ int CmdDetect(const Args& args) {
   return 0;
 }
 
-int CmdEval(const Args& args) {
-  std::string sig_path = args.Get("signatures");
-  std::string trace_path = args.Get("trace");
+int CmdEval(Flags& flags) {
+  const std::string sig_path = flags.String("signatures");
+  const std::string trace_path = flags.String("trace");
+  eval::ConfusionCounts counts;
+  counts.sample_size = flags.Uint("n", 0);
+  flags.Finish();
   if (sig_path.empty() || trace_path.empty()) {
     return Fail("eval needs --signatures --trace (with truth labels)");
   }
@@ -362,8 +341,6 @@ int CmdEval(const Args& args) {
   auto packets = LoadTrace(trace_path);
   if (!packets.ok()) return Fail(packets.status());
 
-  eval::ConfusionCounts counts;
-  counts.sample_size = static_cast<size_t>(args.GetLong("n", 0));
   for (const sim::LabeledPacket& lp : *packets) {
     bool flagged = detector->IsSensitive(lp.packet);
     if (!lp.truth.empty()) {
@@ -391,9 +368,10 @@ int CmdEval(const Args& args) {
   return 0;
 }
 
-int CmdPcapExport(const Args& args) {
-  std::string trace_path = args.Get("trace");
-  std::string out = args.Get("out");
+int CmdPcapExport(Flags& flags) {
+  const std::string trace_path = flags.String("trace");
+  const std::string out = flags.String("out");
+  flags.Finish();
   if (trace_path.empty() || out.empty()) {
     return Fail("pcap-export needs --trace --out");
   }
@@ -409,9 +387,10 @@ int CmdPcapExport(const Args& args) {
   return 0;
 }
 
-int CmdPcapImport(const Args& args) {
-  std::string pcap_path = args.Get("pcap");
-  std::string out = args.Get("out");
+int CmdPcapImport(Flags& flags) {
+  const std::string pcap_path = flags.String("pcap");
+  const std::string out = flags.String("out");
+  flags.Finish();
   if (pcap_path.empty() || out.empty()) {
     return Fail("pcap-import needs --pcap --out");
   }
@@ -434,17 +413,18 @@ int CmdPcapImport(const Args& args) {
   return 0;
 }
 
-int CmdReport(const Args& args) {
-  std::string out = args.Get("out");
-  if (out.empty()) return Fail("report needs --out <report.md>");
+int CmdReport(Flags& flags) {
+  const std::string out = flags.String("out");
   sim::TrafficConfig config;
-  config.scale = args.GetDouble("scale", 0.05);
-  config.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-  sim::Trace trace = sim::GenerateTrace(config);
+  config.scale = flags.Double("scale", 0.05);
+  config.seed = flags.Uint("seed", 42);
   eval::ReportOptions options;
-  if (args.Has("n")) {
-    options.sample_sizes = {static_cast<size_t>(args.GetLong("n", 200))};
-  }
+  const bool has_n = flags.Has("n");
+  const size_t n = flags.Uint("n", 200);
+  if (has_n) options.sample_sizes = {n};
+  flags.Finish();
+  if (out.empty()) return Fail("report needs --out <report.md>");
+  sim::Trace trace = sim::GenerateTrace(config);
   auto report = eval::GenerateMarkdownReport(trace, options);
   if (!report.ok()) return Fail(report.status());
   if (Status s = io::WriteFile(out, *report); !s.ok()) return Fail(s);
@@ -489,44 +469,51 @@ void AddServeStatusSections(obs::AdminServer* admin,
 /// trainer (+ durable store with --data-dir) — with the feed served from
 /// the gateway's live epoch and the trace replayed through the shards at
 /// --rate pkt/s so every layer keeps producing metrics for the admin plane.
-int CmdServeLive(const Args& args) {
-  auto packets = LoadTrace(args.Get("trace"));
-  if (!packets.ok()) return Fail(packets.status());
-  auto device_text = io::ReadFile(args.Get("device"));
-  if (!device_text.ok()) return Fail(device_text.status());
-  auto devices = io::ParseDeviceTokens(*device_text);
-  if (!devices.ok()) return Fail(devices.status());
-  core::PayloadCheck oracle(*devices);
-
+int CmdServeLive(Flags& flags) {
+  const std::string trace_path = flags.String("trace");
+  const std::string device_path = flags.String("device");
   core::SignatureServer::Options server_options;
-  server_options.retrain_after =
-      static_cast<size_t>(args.GetLong("retrain-after", 200));
-  server_options.pipeline.sample_size =
-      static_cast<size_t>(args.GetLong("n", 500));
-  server_options.pipeline.seed = static_cast<uint64_t>(args.GetLong("seed", 1));
-  core::SignatureServer server(&oracle, server_options);
-
+  server_options.retrain_after = flags.Uint("retrain-after", 200);
+  server_options.pipeline.sample_size = flags.Uint("n", 500);
+  server_options.pipeline.seed = flags.Uint("seed", 1);
   // Everything shares the process-global registry so one admin server
   // scrapes the whole stack.
   obs::Registry* registry = obs::Registry::Default();
   gateway::GatewayOptions gw_options;
   gw_options.registry = registry;
-  gw_options.num_shards = static_cast<size_t>(args.GetLong("shards", 2));
+  gw_options.num_shards = flags.Uint("shards", 2);
   // Prefilter escape hatch: --prefilter off ships verdicts through the
   // plain DFA path (the LEAKDET_PREFILTER env var overrides "auto").
-  std::string prefilter_flag = args.Get("prefilter");
+  const std::string prefilter_flag = flags.String("prefilter");
+  const std::string data_dir = flags.String("data-dir");
+  const std::string sync_policy = flags.String("sync-policy");
+  const uint64_t port = flags.Uint("port", 0, 65535);
+  const uint64_t admin_port = flags.Uint("admin-port", 0, 65535);
+  // Replay the trace through the gateway, looping --loops times (0 =
+  // forever) at --rate pkt/s.
+  const double rate = flags.Double("rate", 500);
+  const uint64_t loops = flags.Uint("loops", 0);
+  flags.Finish();
   if (!prefilter_flag.empty() &&
       !prefilter::ParseMode(prefilter_flag, &gw_options.prefilter)) {
     return Fail("--prefilter must be auto, off, scalar, or simd");
   }
+
+  auto packets = LoadTrace(trace_path);
+  if (!packets.ok()) return Fail(packets.status());
+  auto device_text = io::ReadFile(device_path);
+  if (!device_text.ok()) return Fail(device_text.status());
+  auto devices = io::ParseDeviceTokens(*device_text);
+  if (!devices.ok()) return Fail(devices.status());
+  core::PayloadCheck oracle(*devices);
+  core::SignatureServer server(&oracle, server_options);
   gateway::DetectionGateway gateway(gw_options);
 
   std::unique_ptr<store::StoreManager> store;
-  std::string data_dir = args.Get("data-dir");
   if (!data_dir.empty()) {
     store::StoreOptions store_options;
-    if (args.Has("sync-policy")) {
-      auto policy = store::ParseSyncPolicy(args.Get("sync-policy"));
+    if (!sync_policy.empty()) {
+      auto policy = store::ParseSyncPolicy(sync_policy);
       if (!policy.ok()) return Fail(policy.status());
       store_options.wal.sync_policy = *policy;
     }
@@ -550,32 +537,25 @@ int CmdServeLive(const Args& args) {
     if (set == nullptr) return std::make_pair(uint64_t{0}, std::string());
     return std::make_pair(set->version(), set->set().Serialize());
   });
-  if (Status s =
-          feed_server.Start(static_cast<uint16_t>(args.GetLong("port", 0)));
-      !s.ok()) {
+  if (Status s = feed_server.Start(static_cast<uint16_t>(port)); !s.ok()) {
     return Fail(s);
   }
 
   obs::AdminServer admin;  // Registry::Default(), like the stack above
   AddServeStatusSections(&admin, &gateway, registry,
                          /*with_store=*/store != nullptr);
-  if (Status s =
-          admin.Start(static_cast<uint16_t>(args.GetLong("admin-port", 0)));
-      !s.ok()) {
+  if (Status s = admin.Start(static_cast<uint16_t>(admin_port)); !s.ok()) {
     return Fail(s);
   }
   std::printf("serving live feed at http://127.0.0.1:%u/feed\n",
               feed_server.port());
   std::printf("admin plane at http://127.0.0.1:%u/metrics\n", admin.port());
 
-  // Replay the trace through the gateway, looping --loops times (0 =
-  // forever) at --rate pkt/s. Every packet's verdict feeds the trainer, so
-  // epochs keep publishing and the feed keeps advancing.
-  double rate = args.GetDouble("rate", 500);
-  long loops = args.GetLong("loops", 0);
+  // Every packet's verdict feeds the trainer, so epochs keep publishing and
+  // the feed keeps advancing.
   auto replay_start = std::chrono::steady_clock::now();
   size_t submitted = 0;
-  for (long loop = 0; loops == 0 || loop < loops; ++loop) {
+  for (uint64_t loop = 0; loops == 0 || loop < loops; ++loop) {
     for (const sim::LabeledPacket& lp : *packets) {
       gateway.Submit(lp.packet.app_id, lp.packet);
       ++submitted;
@@ -603,9 +583,14 @@ int CmdServeLive(const Args& args) {
   return 0;
 }
 
-int CmdServe(const Args& args) {
-  if (args.Has("trace") && args.Has("device")) return CmdServeLive(args);
-  std::string sig_path = args.Get("signatures");
+int CmdServe(Flags& flags) {
+  if (flags.Has("trace") && flags.Has("device")) return CmdServeLive(flags);
+  const std::string sig_path = flags.String("signatures");
+  const uint16_t port = static_cast<uint16_t>(flags.Uint("port", 0, 65535));
+  const bool with_admin = flags.Has("admin-port");
+  const uint64_t admin_port = flags.Uint("admin-port", 0, 65535);
+  const uint64_t max_requests = flags.Uint("serve-requests", 0);
+  flags.Finish();
   if (sig_path.empty()) {
     return Fail("serve needs --signatures (or --trace --device for the "
                 "live stack)");
@@ -616,30 +601,26 @@ int CmdServe(const Args& args) {
   io::FeedServer server([&payload] {
     return std::make_pair(uint64_t{1}, payload);
   });
-  uint16_t port = static_cast<uint16_t>(args.GetLong("port", 0));
   if (Status s = server.Start(port); !s.ok()) return Fail(s);
   std::printf("serving %zu-byte feed at http://127.0.0.1:%u/feed\n",
               payload.size(), server.port());
   // --admin-port exposes /metrics (the process-global registry the feed
   // server reports into), /healthz, and /statusz beside the feed.
   obs::AdminServer admin;
-  if (args.Has("admin-port")) {
+  if (with_admin) {
     admin.AddStatusSection("feed", [&server, &payload] {
       return "feed_bytes: " + std::to_string(payload.size()) +
              "\nrequests_served: " + std::to_string(server.requests_served()) +
              "\n";
     });
-    if (Status s =
-            admin.Start(static_cast<uint16_t>(args.GetLong("admin-port", 0)));
-        !s.ok()) {
+    if (Status s = admin.Start(static_cast<uint16_t>(admin_port)); !s.ok()) {
       return Fail(s);
     }
     std::printf("admin plane at http://127.0.0.1:%u/metrics\n", admin.port());
   }
-  long max_requests = args.GetLong("serve-requests", 0);
   if (max_requests > 0) {
     // Test-friendly mode: exit after N requests.
-    while (server.requests_served() < static_cast<uint64_t>(max_requests)) {
+    while (server.requests_served() < max_requests) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     server.Stop();
@@ -654,9 +635,10 @@ int CmdServe(const Args& args) {
   }
 }
 
-int CmdFetch(const Args& args) {
-  uint16_t port = static_cast<uint16_t>(args.GetLong("port", 0));
-  std::string out = args.Get("out");
+int CmdFetch(Flags& flags) {
+  const uint16_t port = static_cast<uint16_t>(flags.Uint("port", 0, 65535));
+  const std::string out = flags.String("out");
+  flags.Finish();
   if (port == 0 || out.empty()) return Fail("fetch needs --port --out");
   auto feed = io::FetchFeed(port);
   if (!feed.ok()) return Fail(feed.status());
@@ -667,9 +649,17 @@ int CmdFetch(const Args& args) {
   return 0;
 }
 
-int CmdTrain(const Args& args) {
-  std::string trace_path = args.Get("trace");
-  std::string device_path = args.Get("device");
+int CmdTrain(Flags& flags) {
+  const std::string trace_path = flags.String("trace");
+  const std::string device_path = flags.String("device");
+  core::SignatureServer::Options options;
+  options.retrain_after = flags.Uint("retrain-after", 200);
+  options.pipeline.sample_size = flags.Uint("n", 500);
+  options.pipeline.seed = flags.Uint("seed", 1);
+  const std::string data_dir = flags.String("data-dir");
+  const std::string sync_policy = flags.String("sync-policy");
+  const std::string out = flags.String("out");
+  flags.Finish();
   if (trace_path.empty() || device_path.empty()) {
     return Fail("train needs --trace --device [--data-dir --out]");
   }
@@ -680,12 +670,6 @@ int CmdTrain(const Args& args) {
   auto devices = io::ParseDeviceTokens(*device_text);
   if (!devices.ok()) return Fail(devices.status());
   core::PayloadCheck oracle(*devices);
-
-  core::SignatureServer::Options options;
-  options.retrain_after =
-      static_cast<size_t>(args.GetLong("retrain-after", 200));
-  options.pipeline.sample_size = static_cast<size_t>(args.GetLong("n", 500));
-  options.pipeline.seed = static_cast<uint64_t>(args.GetLong("seed", 1));
   core::SignatureServer server(&oracle, options);
 
   // With --data-dir the run is durable: recover whatever an earlier
@@ -693,11 +677,10 @@ int CmdTrain(const Args& args) {
   // the last logged packet.
   std::unique_ptr<store::StoreManager> store;
   size_t resume = 0;
-  std::string data_dir = args.Get("data-dir");
   if (!data_dir.empty()) {
     store::StoreOptions store_options;
-    if (args.Has("sync-policy")) {
-      auto policy = store::ParseSyncPolicy(args.Get("sync-policy"));
+    if (!sync_policy.empty()) {
+      auto policy = store::ParseSyncPolicy(sync_policy);
       if (!policy.ok()) return Fail(policy.status());
       store_options.wal.sync_policy = *policy;
     }
@@ -750,7 +733,6 @@ int CmdTrain(const Args& args) {
               packets->size(), resume,
               static_cast<unsigned long long>(server.feed_version()),
               server.signatures().size());
-  std::string out = args.Get("out");
   if (!out.empty()) {
     if (Status s = io::WriteFile(out, server.Feed()); !s.ok()) return Fail(s);
     std::printf("wrote feed to %s\n", out.c_str());
@@ -780,26 +762,39 @@ Status PersistFederatedFeed(const std::string& root, const std::string& tenant,
   return store->WriteSnapshot(server);
 }
 
-int CmdFederate(const Args& args) {
-  const size_t k = static_cast<size_t>(args.GetLong("k", 2));
-  const std::string tenant = args.Get("tenant", "fleet");
-  const std::string out = args.Get("out");
+int CmdFederate(Flags& flags) {
+  const size_t k = flags.Uint("k", 2);
+  const std::string tenant = flags.String("tenant", "fleet");
+  const std::string out = flags.String("out");
+  const std::string from_shards = flags.String("from-shards");
+  const size_t num_shards = flags.Uint("shards", 4);
+  const size_t events = flags.Uint("events", 9000);
+  sim::FleetConfig config;
+  config.seed = flags.Uint("seed", 8086);
+  config.num_devices = flags.Uint("devices", 24);
+  config.device_skew = flags.Double("skew", 0.3);
+  config.market.seed = config.seed + 1;
+  config.market.scale = flags.Double("scale", 0.05);
+  const size_t sample_size = flags.Uint("n", 500);
+  const bool eval = flags.Bool("eval");
+  const std::string shard_export = flags.String("shard-export");
+  const size_t holdout_n = flags.Uint("holdout", 1200);
+  const std::string data_dir = flags.String("data-dir");
+  if (num_shards == 0) flags.Error("--shards must be positive");
+  if (config.num_devices == 0) flags.Error("--devices must be positive");
+  flags.Finish();
 
   std::vector<federation::ShardExport> exports;
   std::unique_ptr<sim::Fleet> fleet;
   std::unique_ptr<core::PayloadCheck> oracle;
   std::unique_ptr<federation::ShardTrainer> central;
 
-  if (args.Has("from-shards")) {
+  if (flags.Has("from-shards")) {
     // Merge-only mode: the shards were trained elsewhere (possibly on other
     // machines) and shipped as export files.
-    std::string list = args.Get("from-shards");
-    for (size_t begin = 0; begin <= list.size();) {
-      size_t comma = list.find(',', begin);
-      if (comma == std::string::npos) comma = list.size();
-      std::string path = list.substr(begin, comma - begin);
-      begin = comma + 1;
-      if (path.empty()) continue;
+    for (std::string_view item : Split(from_shards, ',')) {
+      if (item.empty()) continue;
+      const std::string path(item);
       auto text = io::ReadFile(path);
       if (!text.ok()) return Fail(text.status());
       auto shard = federation::ParseShardExport(*text);
@@ -817,16 +812,6 @@ int CmdFederate(const Args& args) {
   } else {
     // Fleet-simulation mode: stand up the device fleet, partition it into
     // disjoint shards by device index, and train every shard locally.
-    const size_t num_shards =
-        static_cast<size_t>(std::max(1l, args.GetLong("shards", 4)));
-    const size_t events = static_cast<size_t>(args.GetLong("events", 9000));
-    sim::FleetConfig config;
-    config.seed = static_cast<uint64_t>(args.GetLong("seed", 8086));
-    config.num_devices =
-        static_cast<size_t>(std::max(1l, args.GetLong("devices", 24)));
-    config.device_skew = args.GetDouble("skew", 0.3);
-    config.market.seed = config.seed + 1;
-    config.market.scale = args.GetDouble("scale", 0.05);
     fleet = std::make_unique<sim::Fleet>(config);
     std::vector<core::DeviceTokens> tokens;
     for (uint64_t index = 0; index < fleet->num_devices(); ++index) {
@@ -836,14 +821,13 @@ int CmdFederate(const Args& args) {
 
     federation::ShardTrainerOptions trainer_options;
     trainer_options.tenant = tenant;
-    trainer_options.pipeline.sample_size =
-        static_cast<size_t>(args.GetLong("n", 500));
+    trainer_options.pipeline.sample_size = sample_size;
     trainer_options.pipeline.num_threads = 1;
     std::vector<federation::ShardTrainer> shards;
     for (size_t shard = 0; shard < num_shards; ++shard) {
       shards.emplace_back(trainer_options, oracle.get());
     }
-    if (args.Has("eval")) {
+    if (eval) {
       central =
           std::make_unique<federation::ShardTrainer>(trainer_options,
                                                      oracle.get());
@@ -870,12 +854,11 @@ int CmdFederate(const Args& args) {
       exports.push_back(std::move(*trained));
     }
 
-    if (args.Has("shard-export")) {
+    if (!shard_export.empty()) {
       // Ship mode: write each export and stop; another invocation (possibly
       // elsewhere) merges them with --from-shards.
-      std::string prefix = args.Get("shard-export");
       for (size_t shard = 0; shard < exports.size(); ++shard) {
-        std::string path = prefix + std::to_string(shard) + ".shard";
+        std::string path = shard_export + std::to_string(shard) + ".shard";
         if (Status s = io::WriteFile(
                 path, federation::SerializeShardExport(exports[shard]));
             !s.ok()) {
@@ -903,7 +886,7 @@ int CmdFederate(const Args& args) {
               stats.signatures_dropped, stats.signatures_absorbed,
               stats.signatures_published);
 
-  if (args.Has("eval")) {
+  if (eval) {
     if (central == nullptr) {
       return Fail("federate --eval needs the simulation path (it trains a "
                   "central oracle on the union of shard traffic); drop "
@@ -914,8 +897,6 @@ int CmdFederate(const Args& args) {
     match::SignatureSet central_published =
         federation::PublishFederated(*central_export, k);
     std::vector<federation::LabeledReplayPacket> holdout;
-    const size_t holdout_n =
-        static_cast<size_t>(args.GetLong("holdout", 1200));
     sim::Fleet::Stream stream = fleet->NewStream(99);
     while (holdout.size() < holdout_n) {
       sim::Fleet::Event event = stream.Next();
@@ -928,7 +909,6 @@ int CmdFederate(const Args& args) {
     std::printf("%s", federation::FormatScoreboard(board).c_str());
   }
 
-  std::string data_dir = args.Get("data-dir");
   if (!data_dir.empty()) {
     if (oracle == nullptr) {
       // --from-shards carries no device tokens; the store snapshot only
@@ -956,8 +936,8 @@ int CmdFederate(const Args& args) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: leakdet <generate|split|sign|detect|eval|serve|fetch|"
-               "pcap-export|pcap-import|train|federate> [--options]\n"
+               "usage: leakdet <generate|split|sign|detect|eval|report|serve|"
+               "fetch|pcap-export|pcap-import|train|federate> [--options]\n"
                "see the header of tools/leakdet_cli.cpp for per-command "
                "options\n");
   return 1;
@@ -968,18 +948,18 @@ int Usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string_view command = argv[1];
-  Args args(argc, argv);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "split") return CmdSplit(args);
-  if (command == "sign") return CmdSign(args);
-  if (command == "detect") return CmdDetect(args);
-  if (command == "eval") return CmdEval(args);
-  if (command == "pcap-export") return CmdPcapExport(args);
-  if (command == "pcap-import") return CmdPcapImport(args);
-  if (command == "report") return CmdReport(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "fetch") return CmdFetch(args);
-  if (command == "train") return CmdTrain(args);
-  if (command == "federate") return CmdFederate(args);
+  Flags flags(argc, argv, 2);
+  if (command == "generate") return CmdGenerate(flags);
+  if (command == "split") return CmdSplit(flags);
+  if (command == "sign") return CmdSign(flags);
+  if (command == "detect") return CmdDetect(flags);
+  if (command == "eval") return CmdEval(flags);
+  if (command == "pcap-export") return CmdPcapExport(flags);
+  if (command == "pcap-import") return CmdPcapImport(flags);
+  if (command == "report") return CmdReport(flags);
+  if (command == "serve") return CmdServe(flags);
+  if (command == "fetch") return CmdFetch(flags);
+  if (command == "train") return CmdTrain(flags);
+  if (command == "federate") return CmdFederate(flags);
   return Usage();
 }

@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -37,78 +36,10 @@
 #include "obs/admin_server.h"
 #include "store/file.h"
 #include "testing/packet_gen.h"
+#include "util/flags.h"
 #include "util/rng.h"
 
 namespace {
-
-struct Flags {
-  std::string data_dir = "leakdet-cluster-data";
-  size_t nodes = 3;
-  size_t shards = 2;
-  size_t epochs = 4;
-  size_t packets = 120;
-  size_t retrain = 16;
-  uint64_t devices = 64;
-  uint64_t seed = 1;
-  double p_sensitive = 0.35;
-  size_t kill_at = 0;  // 0 = never kill the leader
-  long admin_port = -1;
-  bool verbose = false;
-};
-
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: leakdet_cluster [--data-dir=DIR] [--nodes=N] [--shards=N]\n"
-      "  [--epochs=N] [--packets=N] [--retrain=N] [--devices=N] [--seed=N]\n"
-      "  [--p-sensitive=P] [--kill-at=EPOCH] [--admin-port=N] [-v]\n");
-}
-
-bool ParseFlags(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (arg == "-v" || arg == "--verbose") {
-      flags->verbose = true;
-    } else if (ParseFlag(arg, "data-dir", &value)) {
-      flags->data_dir = value;
-    } else if (ParseFlag(arg, "nodes", &value)) {
-      flags->nodes = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "shards", &value)) {
-      flags->shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "epochs", &value)) {
-      flags->epochs = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "packets", &value)) {
-      flags->packets = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "retrain", &value)) {
-      flags->retrain = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "devices", &value)) {
-      flags->devices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "seed", &value)) {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "p-sensitive", &value)) {
-      flags->p_sensitive = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "kill-at", &value)) {
-      flags->kill_at = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "admin-port", &value)) {
-      flags->admin_port = std::strtol(value.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (flags->nodes < 2) flags->nodes = 2;
-  if (flags->epochs == 0) flags->epochs = 1;
-  if (flags->seed == 0) flags->seed = 1;
-  return true;
-}
 
 bool EnsureDir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return true;
@@ -129,16 +60,30 @@ bool WaitFor(const std::function<bool()>& pred, int timeout_ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) {
-    Usage();
-    return 2;
-  }
-  if (!EnsureDir(flags.data_dir)) return 2;
+  leakdet::Flags flags(argc, argv);
+  const std::string data_dir =
+      flags.String("data-dir", "leakdet-cluster-data");
+  const size_t nodes = flags.Uint("nodes", 3);
+  const size_t shards = flags.Uint("shards", 2);
+  const size_t epochs = flags.Uint("epochs", 4);
+  const size_t packets = flags.Uint("packets", 120);
+  const size_t retrain = flags.Uint("retrain", 16);
+  const uint64_t devices = flags.Uint("devices", 64);
+  const uint64_t seed = flags.Uint("seed", 1);
+  const double p_sensitive = flags.Double("p-sensitive", 0.35);
+  const size_t kill_at = flags.Uint("kill-at", 0);  // 0 = never kill
+  const bool with_admin = flags.Has("admin-port");  // 0 = ephemeral port
+  const uint64_t admin_port = flags.Uint("admin-port", 0, 65535);
+  const bool verbose = flags.Bool("verbose", 'v');
+  if (nodes < 2) flags.Error("--nodes must be at least 2");
+  if (epochs == 0) flags.Error("--epochs must be positive");
+  if (seed == 0) flags.Error("--seed must be positive");
+  flags.Finish();
+  if (!EnsureDir(data_dir)) return 2;
 
   // Seeded device fleet: the oracle every node carries (so any follower can
   // be promoted into a trainer) and the token pool traffic leaks from.
-  leakdet::Rng rng(flags.seed);
+  leakdet::Rng rng(seed);
   std::vector<leakdet::core::DeviceTokens> fleet(2);
   for (auto& device : fleet) {
     device.android_id = rng.RandomHex(16);
@@ -158,14 +103,14 @@ int main(int argc, char** argv) {
   // holder is refreshed by the factory so a restarted node's new port is
   // what peers dial.
   auto ports = std::make_shared<std::vector<std::atomic<uint16_t>>>(
-      flags.nodes);
+      nodes);
   std::atomic<uint64_t> delivered{0};
 
   leakdet::cluster::ClusterOptions cluster_options;
   leakdet::cluster::Cluster cluster(cluster_options);
-  for (size_t i = 0; i < flags.nodes; ++i) {
+  for (size_t i = 0; i < nodes; ++i) {
     const std::string id = "node-" + std::to_string(i);
-    const std::string node_dir = flags.data_dir + "/" + id;
+    const std::string node_dir = data_dir + "/" + id;
     if (!EnsureDir(node_dir)) return 2;
     auto factory = [&, i, id, node_dir]()
         -> leakdet::StatusOr<
@@ -175,11 +120,11 @@ int main(int argc, char** argv) {
       options.dir = leakdet::store::Dir::Real();
       options.data_dir = node_dir;
       options.oracle = oracle.get();
-      options.server.retrain_after = flags.retrain;
+      options.server.retrain_after = retrain;
       options.server.pipeline.sample_size = 16;
       options.server.pipeline.normal_corpus_size = 64;
       options.server.pipeline.num_threads = 1;
-      options.gateway.num_shards = flags.shards;
+      options.gateway.num_shards = shards;
       options.gateway.queue_capacity = 256;
       options.sink = [&delivered](const leakdet::core::HttpPacket&,
                                   const leakdet::gateway::Verdict&) {
@@ -208,16 +153,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cluster start: %s\n", started.ToString().c_str());
     return 1;
   }
-  for (size_t i = 0; i < flags.nodes; ++i) {
+  for (size_t i = 0; i < nodes; ++i) {
     std::printf("node-%zu replication at 127.0.0.1:%u\n", i,
                 (*ports)[i].load());
   }
 
   leakdet::obs::AdminServer admin;
   cluster.AddStatusTo(&admin);
-  if (flags.admin_port >= 0) {
+  if (with_admin) {
     leakdet::Status admin_started =
-        admin.Start(static_cast<uint16_t>(flags.admin_port));
+        admin.Start(static_cast<uint16_t>(admin_port));
     if (!admin_started.ok()) {
       std::fprintf(stderr, "admin server: %s\n",
                    admin_started.ToString().c_str());
@@ -228,13 +173,13 @@ int main(int argc, char** argv) {
 
   uint64_t submitted = 0;
   bool failed = false;
-  for (size_t epoch = 1; epoch <= flags.epochs; ++epoch) {
+  for (size_t epoch = 1; epoch <= epochs; ++epoch) {
     // Route one seeded batch across the ring; the leader trains from the
     // sensitive verdicts it serves (production wiring).
-    for (size_t p = 0; p < flags.packets; ++p) {
+    for (size_t p = 0; p < packets; ++p) {
       leakdet::core::HttpPacket packet =
-          leakdet::testing::GeneratePacket(&rng, tokens, flags.p_sensitive);
-      const uint64_t device = rng.UniformInt(flags.devices);
+          leakdet::testing::GeneratePacket(&rng, tokens, p_sensitive);
+      const uint64_t device = rng.UniformInt(devices);
       if (cluster.Submit(device, std::move(packet))) ++submitted;
     }
     // Let the batch drain before replicating, so this epoch's training is
@@ -248,7 +193,7 @@ int main(int argc, char** argv) {
     }
     leakdet::cluster::Cluster::SyncStats stats = cluster.SyncFollowers();
     cluster.PollHeartbeats();
-    if (flags.verbose) {
+    if (verbose) {
       std::fprintf(stderr,
                    "[epoch %zu] synced=%zu records=%llu epochs_applied=%llu "
                    "failures=%zu\n",
@@ -263,7 +208,7 @@ int main(int argc, char** argv) {
       failed = true;
     }
 
-    if (flags.kill_at != 0 && epoch == flags.kill_at) {
+    if (kill_at != 0 && epoch == kill_at) {
       const size_t old_leader = cluster.leader_index();
       std::printf("epoch %zu: killing leader node-%zu\n", epoch, old_leader);
       leakdet::Status killed = cluster.KillLeader();

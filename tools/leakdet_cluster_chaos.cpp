@@ -18,115 +18,42 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "testing/cluster_chaos.h"
 #include "testing/fault_script.h"
-
-namespace {
-
-struct Flags {
-  std::string schedule = "none";  // "none" = faithful transport
-  uint64_t seed = 1;
-  size_t runs = 2;
-  size_t nodes = 3;
-  size_t shards = 2;
-  size_t epochs = 6;
-  size_t packets = 96;
-  size_t retrain = 24;
-  size_t queue_capacity = 256;
-  uint64_t devices = 64;
-  size_t kill_at = 3;
-  size_t restart_after = 1;
-  size_t partition_at = 5;
-  size_t replog_batch = 64;
-  double crash_torn_tail = 0.0;
-  double crash_bit_flip = 0.0;
-  bool list_schedules = false;
-  bool verbose = false;
-};
-
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: leakdet_cluster_chaos [--seed=N] [--runs=N]\n"
-      "  [--schedule=none|NAME|FILE] [--nodes=N] [--shards=N] [--epochs=N]\n"
-      "  [--packets=N] [--retrain=N] [--queue-capacity=N] [--devices=N]\n"
-      "  [--kill-at=EPOCH] [--restart-after=N] [--partition-at=EPOCH]\n"
-      "  [--replog-batch=N] [--crash-torn-tail=P] [--crash-bit-flip=P]\n"
-      "  [--list-schedules] [-v]\n"
-      "(--kill-at=0 / --partition-at=0 disable that chaos event)\n");
-}
-
-bool ParseFlags(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (arg == "--list-schedules") {
-      flags->list_schedules = true;
-    } else if (arg == "-v" || arg == "--verbose") {
-      flags->verbose = true;
-    } else if (ParseFlag(arg, "schedule", &value)) {
-      flags->schedule = value;
-    } else if (ParseFlag(arg, "seed", &value)) {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "runs", &value)) {
-      flags->runs = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "nodes", &value)) {
-      flags->nodes = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "shards", &value)) {
-      flags->shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "epochs", &value)) {
-      flags->epochs = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "packets", &value)) {
-      flags->packets = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "retrain", &value)) {
-      flags->retrain = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "queue-capacity", &value)) {
-      flags->queue_capacity = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "devices", &value)) {
-      flags->devices = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "kill-at", &value)) {
-      flags->kill_at = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "restart-after", &value)) {
-      flags->restart_after = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "partition-at", &value)) {
-      flags->partition_at = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "replog-batch", &value)) {
-      flags->replog_batch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "crash-torn-tail", &value)) {
-      flags->crash_torn_tail = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "crash-bit-flip", &value)) {
-      flags->crash_bit_flip = std::strtod(value.c_str(), nullptr);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (flags->runs == 0) flags->runs = 1;
-  if (flags->epochs == 0) flags->epochs = 1;
-  if (flags->nodes < 2) flags->nodes = 2;
-  if (flags->seed == 0) flags->seed = 1;
-  return true;
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) {
-    Usage();
-    return 2;
-  }
-  if (flags.list_schedules) {
+  leakdet::Flags flags(argc, argv);
+  leakdet::testing::ClusterChaosOptions options;
+  options.seed = flags.Uint("seed", 1);
+  const size_t runs = flags.Uint("runs", 2);
+  // "none" = faithful transport.
+  const std::string schedule = flags.String("schedule", "none");
+  options.nodes = flags.Uint("nodes", 3);
+  options.shards = flags.Uint("shards", 2);
+  options.epochs = flags.Uint("epochs", 6);
+  options.packets_per_epoch = flags.Uint("packets", 96);
+  options.retrain_after = flags.Uint("retrain", 24);
+  options.queue_capacity = flags.Uint("queue-capacity", 256);
+  options.devices = flags.Uint("devices", 64);
+  // --kill-at=0 / --partition-at=0 disable that chaos event.
+  options.kill_leader_at_epoch = flags.Uint("kill-at", 3);
+  options.restart_killed_after = flags.Uint("restart-after", 1);
+  options.partition_follower_at_epoch = flags.Uint("partition-at", 5);
+  options.replog_batch_limit = flags.Uint("replog-batch", 64);
+  options.store_faults.torn_tail = flags.Double("crash-torn-tail", 0.0);
+  options.store_faults.bit_flip = flags.Double("crash-bit-flip", 0.0);
+  const bool list_schedules = flags.Bool("list-schedules");
+  const bool verbose = flags.Bool("verbose", 'v');
+  if (options.seed == 0) flags.Error("--seed must be positive");
+  if (runs == 0) flags.Error("--runs must be positive");
+  if (options.nodes < 2) flags.Error("--nodes must be at least 2");
+  if (options.epochs == 0) flags.Error("--epochs must be positive");
+  flags.Finish();
+
+  if (list_schedules) {
     for (const std::string& name :
          leakdet::testing::FaultScript::BuiltinNames()) {
       std::printf("%s\n", name.c_str());
@@ -134,46 +61,31 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  leakdet::testing::ClusterChaosOptions options;
-  options.seed = flags.seed;
-  if (flags.schedule != "none") {
-    auto script = leakdet::testing::FaultScript::Load(flags.schedule);
+  if (schedule != "none") {
+    auto script = leakdet::testing::FaultScript::Load(schedule);
     if (!script.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    std::string(script.status().message()).c_str());
       return 2;
     }
-    script->set_seed(flags.seed);
+    script->set_seed(options.seed);
     options.script = *script;
   }
-  options.store_faults.torn_tail = flags.crash_torn_tail;
-  options.store_faults.bit_flip = flags.crash_bit_flip;
-  options.nodes = flags.nodes;
-  options.shards = flags.shards;
-  options.queue_capacity = flags.queue_capacity;
-  options.epochs = flags.epochs;
-  options.packets_per_epoch = flags.packets;
-  options.retrain_after = flags.retrain;
-  options.devices = flags.devices;
-  options.kill_leader_at_epoch = flags.kill_at;
-  options.restart_killed_after = flags.restart_after;
-  options.partition_follower_at_epoch = flags.partition_at;
-  options.replog_batch_limit = flags.replog_batch;
-  if (flags.verbose) {
+  if (verbose) {
     options.log = [](const std::string& message) {
       std::fprintf(stderr, "[cluster-chaos] %s\n", message.c_str());
     };
   }
 
   std::printf("schedule=%s seed=%llu nodes=%zu runs=%zu\n",
-              flags.schedule.c_str(),
-              static_cast<unsigned long long>(flags.seed), flags.nodes,
-              flags.runs);
+              schedule.c_str(),
+              static_cast<unsigned long long>(options.seed), options.nodes,
+              runs);
 
   bool all_ok = true;
   bool reproducible = true;
   leakdet::testing::ClusterChaosResult first;
-  for (size_t run = 0; run < flags.runs; ++run) {
+  for (size_t run = 0; run < runs; ++run) {
     leakdet::testing::ClusterChaosResult result =
         leakdet::testing::RunClusterChaos(options);
     std::printf("--- run %zu ---\n%s\n", run + 1, result.Summary().c_str());
@@ -203,7 +115,7 @@ int main(int argc, char** argv) {
                  "FAIL: cluster invariants violated (see summaries)\n");
     return 1;
   }
-  std::printf("PASS: %zu run(s), digest=%llx\n", flags.runs,
+  std::printf("PASS: %zu run(s), digest=%llx\n", runs,
               static_cast<unsigned long long>(first.digest));
   return 0;
 }

@@ -16,8 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,125 +30,11 @@
 #include "obs/admin_server.h"
 #include "prefilter/prefilter.h"
 #include "sim/trafficgen.h"
+#include "util/flags.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-struct Flags {
-  size_t shards = 4;
-  size_t queue_capacity = 4096;
-  size_t pop_batch = 64;
-  std::string policy = "block";  // block | drop
-  double scale = 1.0;
-  size_t repeat = 10;
-  uint64_t seed = 42;
-  double rate = 0;  // target packets/s, 0 = unlimited
-  // Tuned to the trainer's sustainable oracle-scan intake (~15k pkt/s):
-  // yields a retrain every few hundred ms of wall time, i.e. plenty of live
-  // hot-swaps over a multi-second run.
-  size_t retrain_after = 1200;
-  size_t sample_size = 60;
-  size_t normal_corpus = 400;
-  size_t forward_normal_every = 8;
-  size_t trainer_queue = 8192;
-  uint64_t min_swaps = 0;  // fail the run if fewer hot-swaps happened
-  bool verify = true;
-  long admin_port = -1;  // -1 = no admin server, 0 = ephemeral port
-  // Warmup rounds replay the trace before the measured window opens: they
-  // warm shard queues, the matcher epoch, and branch predictors, and are
-  // excluded from the reported throughput (their verdicts are still
-  // verified).
-  size_t warmup_repeat = 1;
-  // Prefilter escape hatch: auto (default), off, scalar, or simd; forwarded
-  // to GatewayOptions::prefilter (LEAKDET_PREFILTER overrides auto).
-  std::string prefilter = "auto";
-};
-
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: leakdet_loadgen [--shards=N] [--queue-capacity=N] "
-      "[--pop-batch=N]\n"
-      "  [--policy=block|drop] [--scale=F] [--repeat=N] [--seed=N] "
-      "[--rate=PPS]\n"
-      "  [--retrain-after=N] [--sample-size=N] [--normal-corpus=N]\n"
-      "  [--forward-normal-every=N] [--trainer-queue=N] [--min-swaps=N]\n"
-      "  [--no-verify] [--admin-port=N] [--warmup-repeat=N]\n"
-      "  [--prefilter=auto|off|scalar|simd]\n");
-}
-
-bool ParseFlags(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string v;
-    if (ParseFlag(arg, "shards", &v)) {
-      flags->shards = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "queue-capacity", &v)) {
-      flags->queue_capacity = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "pop-batch", &v)) {
-      flags->pop_batch = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "policy", &v)) {
-      flags->policy = v;
-    } else if (ParseFlag(arg, "scale", &v)) {
-      flags->scale = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(arg, "repeat", &v)) {
-      flags->repeat = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "seed", &v)) {
-      flags->seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "rate", &v)) {
-      flags->rate = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(arg, "retrain-after", &v)) {
-      flags->retrain_after = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "sample-size", &v)) {
-      flags->sample_size = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "normal-corpus", &v)) {
-      flags->normal_corpus = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "forward-normal-every", &v)) {
-      flags->forward_normal_every = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "trainer-queue", &v)) {
-      flags->trainer_queue = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "min-swaps", &v)) {
-      flags->min_swaps = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "admin-port", &v)) {
-      flags->admin_port = std::strtol(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "warmup-repeat", &v)) {
-      flags->warmup_repeat = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "prefilter", &v)) {
-      flags->prefilter = v;
-    } else if (arg == "--no-verify") {
-      flags->verify = false;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
-      return false;
-    }
-  }
-  if (flags->policy != "block" && flags->policy != "drop") {
-    std::fprintf(stderr, "--policy must be block or drop\n");
-    return false;
-  }
-  if (flags->shards == 0 || flags->repeat == 0) {
-    std::fprintf(stderr, "--shards and --repeat must be positive\n");
-    return false;
-  }
-  leakdet::prefilter::Mode mode;
-  if (!leakdet::prefilter::ParseMode(flags->prefilter, &mode)) {
-    std::fprintf(stderr, "--prefilter must be auto, off, scalar, or simd\n");
-    return false;
-  }
-  return true;
-}
 
 /// One recorded gateway verdict: which trace packet, under which epoch.
 struct Recorded {
@@ -162,14 +46,58 @@ struct Recorded {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) return 2;
+  leakdet::Flags flags(argc, argv);
+  const size_t shards = flags.Uint("shards", 4);
+  const size_t queue_capacity = flags.Uint("queue-capacity", 4096);
+  const size_t pop_batch = flags.Uint("pop-batch", 64);
+  const std::string policy = flags.String("policy", "block");
+  const double scale = flags.Double("scale", 1.0);
+  const size_t repeat = flags.Uint("repeat", 10);
+  const uint64_t seed = flags.Uint("seed", 42);
+  const double rate = flags.Double("rate", 0);  // pkt/s, 0 = unlimited
+  // Tuned to the trainer's sustainable oracle-scan intake (~15k pkt/s):
+  // yields a retrain every few hundred ms of wall time, i.e. plenty of live
+  // hot-swaps over a multi-second run.
+  const size_t retrain_after = flags.Uint("retrain-after", 1200);
+  const size_t sample_size = flags.Uint("sample-size", 60);
+  const size_t normal_corpus = flags.Uint("normal-corpus", 400);
+  const size_t forward_normal_every = flags.Uint("forward-normal-every", 8);
+  const size_t trainer_queue = flags.Uint("trainer-queue", 8192);
+  // Fail the run if fewer hot-swaps happened.
+  const uint64_t min_swaps = flags.Uint("min-swaps", 0);
+  const bool verify = !flags.Bool("no-verify");
+  const bool with_admin = flags.Has("admin-port");  // 0 = ephemeral port
+  const uint64_t admin_port = flags.Uint("admin-port", 0, 65535);
+  // Warmup rounds replay the trace before the measured window opens: they
+  // warm shard queues, the matcher epoch, and branch predictors, and are
+  // excluded from the reported throughput (their verdicts are still
+  // verified).
+  const size_t warmup_repeat = flags.Uint("warmup-repeat", 1);
+  // Prefilter escape hatch, forwarded to GatewayOptions::prefilter
+  // (LEAKDET_PREFILTER overrides auto).
+  const std::string prefilter = flags.String("prefilter", "auto");
+  const bool help = flags.Bool("help", 'h');
+  if (help) {
+    std::printf("%s\n", flags.Usage().c_str());
+    return 0;
+  }
+  if (policy != "block" && policy != "drop") {
+    flags.Error("--policy must be block or drop");
+  }
+  if (shards == 0 || repeat == 0) {
+    flags.Error("--shards and --repeat must be positive");
+  }
+  leakdet::prefilter::Mode prefilter_mode = leakdet::prefilter::Mode::kAuto;
+  if (!leakdet::prefilter::ParseMode(prefilter, &prefilter_mode)) {
+    flags.Error("--prefilter must be auto, off, scalar, or simd");
+  }
+  flags.Finish();
 
-  std::printf("generating trace (scale=%.3g seed=%llu)...\n", flags.scale,
-              static_cast<unsigned long long>(flags.seed));
+  std::printf("generating trace (scale=%.3g seed=%llu)...\n", scale,
+              static_cast<unsigned long long>(seed));
   leakdet::sim::TrafficConfig config;
-  config.seed = flags.seed;
-  config.scale = flags.scale;
+  config.seed = seed;
+  config.scale = scale;
   leakdet::sim::Trace trace = leakdet::sim::GenerateTrace(config);
   size_t sensitive_truth = 0;
   for (const auto& lp : trace.packets) {
@@ -181,25 +109,25 @@ int main(int argc, char** argv) {
 
   leakdet::core::PayloadCheck oracle({trace.device.ToTokens()});
   leakdet::core::SignatureServer::Options server_options;
-  server_options.retrain_after = flags.retrain_after;
-  server_options.pipeline.sample_size = flags.sample_size;
-  server_options.pipeline.normal_corpus_size = flags.normal_corpus;
+  server_options.retrain_after = retrain_after;
+  server_options.pipeline.sample_size = sample_size;
+  server_options.pipeline.normal_corpus_size = normal_corpus;
   server_options.pipeline.num_threads = 2;
   leakdet::core::SignatureServer server(&oracle, server_options);
 
   leakdet::gateway::GatewayOptions gw_options;
-  gw_options.num_shards = flags.shards;
-  gw_options.queue_capacity = flags.queue_capacity;
-  gw_options.pop_batch = flags.pop_batch;
-  gw_options.overload = flags.policy == "block"
-                            ? leakdet::gateway::OverloadPolicy::kBlock
-                            : leakdet::gateway::OverloadPolicy::kDropNewest;
-  (void)leakdet::prefilter::ParseMode(flags.prefilter, &gw_options.prefilter);
+  gw_options.num_shards = shards;
+  gw_options.queue_capacity = queue_capacity;
+  gw_options.pop_batch = pop_batch;
+  gw_options.overload = policy == "block"
+                           ? leakdet::gateway::OverloadPolicy::kBlock
+                           : leakdet::gateway::OverloadPolicy::kDropNewest;
+  gw_options.prefilter = prefilter_mode;
   leakdet::gateway::DetectionGateway gateway(gw_options);
 
   leakdet::gateway::TrainerOptions trainer_options;
-  trainer_options.queue_capacity = flags.trainer_queue;
-  trainer_options.forward_normal_every = flags.forward_normal_every;
+  trainer_options.queue_capacity = trainer_queue;
+  trainer_options.forward_normal_every = forward_normal_every;
   leakdet::gateway::TrainerLoop trainer(&server, &gateway, trainer_options);
 
   // Optional admin plane over the gateway's registry (which the trainer
@@ -212,9 +140,9 @@ int main(int argc, char** argv) {
     return "epoch_version: " + std::to_string(gateway.current_version()) +
            "\nepoch_age_ns: " + std::to_string(gateway.epoch_age_ns()) + "\n";
   });
-  if (flags.admin_port >= 0) {
+  if (with_admin) {
     leakdet::Status started =
-        admin.Start(static_cast<uint16_t>(flags.admin_port));
+        admin.Start(static_cast<uint16_t>(admin_port));
     if (!started.ok()) {
       std::fprintf(stderr, "admin server: %s\n",
                    started.ToString().c_str());
@@ -223,15 +151,15 @@ int main(int argc, char** argv) {
     std::printf("admin plane at http://127.0.0.1:%u/metrics\n", admin.port());
   }
 
-  size_t instances = trace.packets.size() * flags.repeat;
+  size_t instances = trace.packets.size() * repeat;
   // Per-shard verdict sequences; each is appended only by that shard's
   // worker thread, so no locking is needed (vectors are pre-created).
-  std::vector<std::vector<Recorded>> verdicts(flags.shards);
-  for (auto& v : verdicts) v.reserve(instances / flags.shards + 64);
+  std::vector<std::vector<Recorded>> verdicts(shards);
+  for (auto& v : verdicts) v.reserve(instances / shards + 64);
   // Producer-side: which trace packet the k-th accepted packet of each
   // shard was. Together with FIFO shard order this reconstructs identity.
-  std::vector<std::vector<uint32_t>> accepted(flags.shards);
-  for (auto& v : accepted) v.reserve(instances / flags.shards + 64);
+  std::vector<std::vector<uint32_t>> accepted(shards);
+  for (auto& v : accepted) v.reserve(instances / shards + 64);
   std::atomic<uint32_t> current_index{0};
 
   gateway.set_sink([&](const leakdet::core::HttpPacket& packet,
@@ -251,12 +179,12 @@ int main(int argc, char** argv) {
 
   std::printf("replaying %zu x %zu = %zu packets through %zu shards "
               "(policy=%s, rate=%s, prefilter=%s, warmup=%zu rounds)...\n",
-              trace.packets.size(), flags.repeat, instances, flags.shards,
-              flags.policy.c_str(),
-              flags.rate > 0 ? (std::to_string(flags.rate) + " pkt/s").c_str()
-                             : "unlimited",
+              trace.packets.size(), repeat, instances, shards,
+              policy.c_str(),
+              rate > 0 ? (std::to_string(rate) + " pkt/s").c_str()
+                       : "unlimited",
               leakdet::prefilter::ModeName(gateway.prefilter_mode()),
-              flags.warmup_repeat);
+              warmup_repeat);
 
   size_t submitted_count = 0;
   size_t pace_base = 0;  // accepted count when the current pacing clock began
@@ -270,9 +198,9 @@ int main(int argc, char** argv) {
         accepted[shard].push_back(static_cast<uint32_t>(i));
         ++submitted_count;
       }
-      if (flags.rate > 0 && (submitted_count & 1023) == 0) {
+      if (rate > 0 && (submitted_count & 1023) == 0) {
         double target_elapsed =
-            static_cast<double>(submitted_count - pace_base) / flags.rate;
+            static_cast<double>(submitted_count - pace_base) / rate;
         double actual =
             std::chrono::duration<double>(Clock::now() - pace_start).count();
         if (actual < target_elapsed) {
@@ -294,14 +222,14 @@ int main(int argc, char** argv) {
   // costs (trace paging, shard-queue first touch, the first matcher
   // hot-swap) never inflate or deflate the reported throughput. Their
   // verdicts are still recorded and verified like any others.
-  for (size_t r = 0; r < flags.warmup_repeat; ++r) submit_round();
+  for (size_t r = 0; r < warmup_repeat; ++r) submit_round();
   drain();
 
   const uint64_t processed_before = gateway.processed();
   Clock::time_point run_start = Clock::now();
   pace_start = run_start;
   pace_base = submitted_count;
-  for (size_t r = 0; r < flags.repeat; ++r) submit_round();
+  for (size_t r = 0; r < repeat; ++r) submit_round();
   drain();  // measured window ends when the last verdict lands, not at Stop
   Clock::time_point run_end = Clock::now();
   gateway.Stop();
@@ -335,7 +263,7 @@ int main(int argc, char** argv) {
   std::printf("\n-- metrics --\n%s\n", gateway.metrics()->TextDump().c_str());
 
   int exit_code = 0;
-  if (flags.verify) {
+  if (verify) {
     // Patch identities, then check every verdict against the single-threaded
     // Detector for its epoch. One thread per shard, each with its own
     // per-version Detector cache (Detector construction rebuilds the
@@ -346,7 +274,7 @@ int main(int argc, char** argv) {
     std::atomic<uint64_t> mismatches{0};
     std::atomic<uint64_t> checked{0};
     std::vector<std::thread> checkers;
-    for (size_t s = 0; s < flags.shards; ++s) {
+    for (size_t s = 0; s < shards; ++s) {
       checkers.emplace_back([&, s] {
         if (verdicts[s].size() != accepted[s].size()) {
           std::fprintf(stderr,
@@ -402,10 +330,10 @@ int main(int argc, char** argv) {
     if (mismatches.load() != 0) exit_code = 1;
   }
 
-  if (gateway.swaps() < flags.min_swaps) {
+  if (gateway.swaps() < min_swaps) {
     std::printf("FAILED: %llu hot-swaps < required --min-swaps=%llu\n",
                 static_cast<unsigned long long>(gateway.swaps()),
-                static_cast<unsigned long long>(flags.min_swaps));
+                static_cast<unsigned long long>(min_swaps));
     exit_code = 1;
   }
   return exit_code;

@@ -30,12 +30,11 @@
 // lineage under the federation data root: --data-dir ROOT --tenant acme
 // targets ROOT/tenant-acme (name mangling handled for you).
 //
-// Exit status: 0 on success / healthy, 1 on any error or damage.
+// Exit status: 0 on success / healthy, 1 on any error or damage, 2 on a
+// malformed, unknown or stray argument.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,38 +45,11 @@
 #include "store/store_manager.h"
 #include "store/wal.h"
 #include "train/ncd_cache.h"
+#include "util/flags.h"
 
 namespace {
 
 using namespace leakdet;
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string_view arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      std::string key(arg.substr(2));
-      if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, std::string def = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-  long GetLong(const std::string& key, long def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::atol(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -92,10 +64,10 @@ int Fail(const std::string& message) {
 /// The directory a command should operate on: --data-dir itself, or the
 /// tenant's lineage under it when --tenant is also given. Empty means the
 /// caller must Fail with its own usage line.
-std::string ResolveDataDir(const Args& args) {
-  std::string data_dir = args.Get("data-dir");
+std::string ResolveDataDir(Flags& flags) {
+  std::string data_dir = flags.String("data-dir");
+  const std::string tenant = flags.String("tenant");
   if (data_dir.empty()) return data_dir;
-  std::string tenant = args.Get("tenant");
   if (!tenant.empty()) {
     data_dir += "/" + federation::TenantDirName(tenant);
   }
@@ -211,8 +183,9 @@ StatusOr<StoreSurvey> Survey(store::Dir* dir, const std::string& data_dir) {
   return survey;
 }
 
-int CmdInspect(const Args& args) {
-  std::string data_dir = ResolveDataDir(args);
+int CmdInspect(Flags& flags) {
+  const std::string data_dir = ResolveDataDir(flags);
+  flags.Finish();
   if (data_dir.empty()) return Fail("inspect needs --data-dir DIR");
   StatusOr<StoreSurvey> survey = Survey(store::Dir::Real(), data_dir);
   if (!survey.ok()) return Fail(survey.status());
@@ -253,8 +226,9 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-int CmdVerify(const Args& args) {
-  std::string data_dir = ResolveDataDir(args);
+int CmdVerify(Flags& flags) {
+  const std::string data_dir = ResolveDataDir(flags);
+  flags.Finish();
   if (data_dir.empty()) return Fail("verify needs --data-dir DIR");
   StatusOr<StoreSurvey> survey = Survey(store::Dir::Real(), data_dir);
   if (!survey.ok()) return Fail(survey.status());
@@ -284,15 +258,15 @@ int CmdVerify(const Args& args) {
   return 1;
 }
 
-int CmdCompact(const Args& args) {
-  std::string data_dir = ResolveDataDir(args);
-  if (data_dir.empty()) return Fail("compact needs --data-dir DIR");
+int CmdCompact(Flags& flags) {
+  const std::string data_dir = ResolveDataDir(flags);
   store::StoreOptions options;
-  options.keep_snapshots =
-      static_cast<size_t>(args.GetLong("keep", 2));
-  if (!args.Get("sync-policy").empty()) {
-    StatusOr<store::SyncPolicy> policy =
-        store::ParseSyncPolicy(args.Get("sync-policy"));
+  options.keep_snapshots = flags.Uint("keep", 2);
+  const std::string sync_policy = flags.String("sync-policy");
+  flags.Finish();
+  if (data_dir.empty()) return Fail("compact needs --data-dir DIR");
+  if (!sync_policy.empty()) {
+    StatusOr<store::SyncPolicy> policy = store::ParseSyncPolicy(sync_policy);
     if (!policy.ok()) return Fail(policy.status());
     options.wal.sync_policy = *policy;
   }
@@ -307,8 +281,9 @@ int CmdCompact(const Args& args) {
   return 0;
 }
 
-int CmdTenants(const Args& args) {
-  std::string root = args.Get("data-dir");
+int CmdTenants(Flags& flags) {
+  const std::string root = flags.String("data-dir");
+  flags.Finish();
   if (root.empty()) return Fail("tenants needs --data-dir ROOT");
   std::vector<std::string> tenants =
       federation::ListTenants(store::Dir::Real(), root);
@@ -324,8 +299,9 @@ int CmdTenants(const Args& args) {
   return 0;
 }
 
-int CmdNcdCache(const Args& args) {
-  std::string data_dir = ResolveDataDir(args);
+int CmdNcdCache(Flags& flags) {
+  const std::string data_dir = ResolveDataDir(flags);
+  flags.Finish();
   if (data_dir.empty()) return Fail("ncdcache needs --data-dir DIR");
   std::string path = data_dir + "/ncd-cache";
   StatusOr<train::NcdCacheInfo> info =
@@ -371,12 +347,12 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  Args args(argc, argv);
+  Flags flags(argc, argv, 2);
   std::string cmd = argv[1];
-  if (cmd == "inspect") return CmdInspect(args);
-  if (cmd == "verify") return CmdVerify(args);
-  if (cmd == "compact") return CmdCompact(args);
-  if (cmd == "tenants") return CmdTenants(args);
-  if (cmd == "ncdcache") return CmdNcdCache(args);
+  if (cmd == "inspect") return CmdInspect(flags);
+  if (cmd == "verify") return CmdVerify(flags);
+  if (cmd == "compact") return CmdCompact(flags);
+  if (cmd == "tenants") return CmdTenants(flags);
+  if (cmd == "ncdcache") return CmdNcdCache(flags);
   return Usage();
 }
